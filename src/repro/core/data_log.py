@@ -15,9 +15,11 @@ totals, and a running logged-bytes total are maintained O(1) at
 garbage collector) receives put/get notifications so collection can be
 candidate-driven instead of scan-driven.
 
-Eviction is fault-aware: a server that answers with a *transient* error
-keeps its fragments on a per-server **pending-eviction queue** and is
-retried on later passes or on health recovery — only a confirmed fail-stop
+Eviction is batched and fault-aware: each server receives a whole batch of
+evictions as one pipelined frame, and every request in it is judged on its
+own. A server that answers with a *transient* error keeps its fragments on
+a per-server **pending-eviction queue** and is retried on later passes or
+on health recovery — only a confirmed fail-stop
 (:class:`~repro.errors.ServerUnavailable`) writes fragments off, because a
 crashed server's memory dies with it. Treating a merely slow or flaky
 server like a crashed one would leak its fragments forever *and* leave the
@@ -226,24 +228,38 @@ class DataLog:
         """Unpin (name, version) and drop its fragments from every server.
 
         Returns bytes freed across the group. Raises ObjectNotFound when the
-        version was never logged (GC bookkeeping bug guard).
-
-        Fault handling distinguishes failure modes per server:
-
-        * **fail-stop** (:class:`ServerUnavailable`) — the server's memory
-          died with it; the fragments are written off (a rebuild starts from
-          the protection records, which are dropped below, so nothing gets
-          resurrected);
-        * **transient** (:class:`TransientServerError`) — the server is
-          alive and still *holds* the fragments; they are queued on that
-          server's pending-eviction queue and retried by later passes or on
-          health recovery. Writing them off here would leak the memory and
-          leave the version readable on that server after GC reported it
-          collected.
+        version was never logged (GC bookkeeping bug guard). One version of
+        :meth:`evict_versions`, which documents the fault handling.
         """
-        rec = self.records.pop((name, version), None)
-        if rec is None:
+        return self.evict_versions([(name, version)])
+
+    def evict_versions(self, keys: list[tuple[str, int]]) -> int:
+        """Unpin every (name, version) in ``keys`` and drop their fragments.
+
+        Each server gets all of them in one pipelined frame — one ``evict``
+        request per version, one round trip — and every slot's outcome is
+        routed on its own (see :meth:`_evict_frame`). Returns bytes freed
+        across the group. Raises ObjectNotFound, before changing anything,
+        when a key was never logged (GC bookkeeping bug guard).
+        """
+        missing = [key for key in keys if key not in self.records]
+        if missing:
+            name, version = missing[0]
             raise ObjectNotFound(f"{name!r} v{version} not in data log")
+        for name, version in keys:
+            self._unpin(name, version)
+        freed = 0
+        if keys:
+            for server in self.group.servers:
+                freed += self._evict_frame(server, keys)[1]
+        for name, version in keys:
+            self.group.records.evict(name, version)
+        _EVICTIONS.inc(len(keys))
+        return freed
+
+    def _unpin(self, name: str, version: int) -> None:
+        """Drop one record and its index entries (the key must be logged)."""
+        rec = self.records.pop((name, version))
         versions = self._versions.get(name)
         if versions:
             i = bisect_left(versions, version)
@@ -255,36 +271,68 @@ class DataLog:
         if self._name_bytes[name] <= 0:
             del self._name_bytes[name]
         self._total_bytes -= rec.nbytes
-        freed = 0
-        for server in self.group.servers:
-            freed += self._evict_from_server(server, name, version)
-        self.group.records.evict(name, version)
-        _EVICTIONS.inc()
-        return freed
 
-    def _evict_from_server(self, server, name: str, version: int) -> int:
-        """Ask one server to drop (name, version); queue on transient failure."""
+    def _evict_frame(self, server, keys: list[tuple[str, int]]) -> tuple[int, int]:
+        """Send one server ``keys`` as one pipelined frame of ``evict``
+        requests; returns (pending entries confirmed, bytes freed).
+
+        The only eviction path: fresh evictions and pending-queue retries
+        both go through it. Each slot is routed by the fault model:
+
+        * **confirmed** — a value, or ``ObjectNotFound`` (a rebuilt
+          replacement never held the fragments): the key leaves the
+          server's pending queue if it was on it;
+        * **transient** (:class:`TransientServerError`) — the server is
+          alive and still *holds* the fragments; the key goes on that
+          server's pending-eviction queue, retried by later passes or on
+          health recovery. Writing it off would leak the memory and leave
+          the version readable there after GC reported it collected;
+        * **fail-stop** (:class:`ServerUnavailable`) — the server's memory
+          died with it: the server is marked down and its whole pending
+          queue, this frame's failed keys included, is written off (a
+          rebuild starts from the protection records, which the caller
+          drops, so nothing is resurrected).
+
+        A failure of the whole frame counts as that failure in every slot.
+        """
         sid = server.server_id
         health = getattr(self.group, "health", None)
         try:
-            freed = server.evict(name, version)
-        except ServerUnavailable:
-            # Confirmed fail-stop: contents die with the server.
+            slots = server.pipeline([("evict", key) for key in keys], outcomes=True)
+        except (ServerUnavailable, TransientServerError) as exc:
+            slots = [exc] * len(keys)
+        queue = self._pending_evictions.setdefault(sid, {})
+        confirmed = 0
+        freed = 0
+        lost: set[tuple[str, int]] = set()
+        for key, slot in zip(keys, slots):
+            if isinstance(slot, ServerUnavailable):
+                lost.add(key)
+            elif isinstance(slot, TransientServerError):
+                if health is not None:
+                    health.mark_failure(sid)
+                if key not in queue:
+                    queue[key] = 0
+                    _PENDING_QUEUED.inc()
+            elif isinstance(slot, Exception) and not isinstance(slot, ObjectNotFound):
+                raise slot
+            else:
+                if health is not None:
+                    health.mark_success(sid)
+                if not isinstance(slot, ObjectNotFound):
+                    freed += slot
+                if queue.pop(key, None) is not None:
+                    confirmed += 1
+                    _PENDING_DRAINED.inc()
+        if lost:
             if health is not None:
                 health.mark_down(sid)
-            _PENDING_WRITTEN_OFF.inc()
-            return 0
-        except TransientServerError:
-            if health is not None:
-                health.mark_failure(sid)
-            pending = self._pending_evictions.setdefault(sid, {})
-            if (name, version) not in pending:
-                pending[(name, version)] = 0
-                _PENDING_QUEUED.inc()
-            return 0
-        if health is not None:
-            health.mark_success(sid)
-        return freed
+            lost.update(queue)
+            queue.clear()
+            _PENDING_WRITTEN_OFF.inc(len(lost))
+        if not queue:
+            del self._pending_evictions[sid]
+        return confirmed, freed
 
     # ------------------------------------------------- pending-eviction queue
 
@@ -306,10 +354,10 @@ class DataLog:
         """Retry queued fragment evictions; returns (drained, bytes_freed).
 
         Called by every GC pass and by the health layer when a suspect
-        server recovers. Entries succeed (fragments confirmed gone), are
-        written off on confirmed fail-stop, or stay queued on another
-        transient failure. ``ObjectNotFound``/absent fragments count as
-        drained — a rebuilt replacement server never held them.
+        server recovers. Each server with queued work gets its whole queue
+        as one pipelined frame; entries succeed (fragments confirmed gone),
+        are written off on confirmed fail-stop, or stay queued on another
+        transient failure (see :meth:`_evict_frame`).
         """
         if server_id is not None:
             sids = [server_id] if server_id in self._pending_evictions else []
@@ -325,33 +373,9 @@ class DataLog:
                 # Group shrank (test teardown); nothing to ask.
                 self._pending_evictions.pop(sid, None)
                 continue
-            server = self.group.servers[sid]
-            health = getattr(self.group, "health", None)
-            for key in list(queue):
-                name, version = key
-                try:
-                    freed += server.evict(name, version)
-                except ServerUnavailable:
-                    # Fail-stop confirmed: write the whole queue off.
-                    if health is not None:
-                        health.mark_down(sid)
-                    written_off = len(queue)
-                    queue.clear()
-                    _PENDING_WRITTEN_OFF.inc(written_off)
-                    break
-                except TransientServerError:
-                    if health is not None:
-                        health.mark_failure(sid)
-                    continue
-                except ObjectNotFound:
-                    pass  # replacement server never held the fragments
-                if health is not None:
-                    health.mark_success(sid)
-                del queue[key]
-                drained += 1
-                _PENDING_DRAINED.inc()
-            if not queue:
-                self._pending_evictions.pop(sid, None)
+            confirmed, nbytes = self._evict_frame(self.group.servers[sid], list(queue))
+            drained += confirmed
+            freed += nbytes
         return drained, freed
 
     def write_off_pending(self, server_id: int) -> int:

@@ -224,31 +224,30 @@ class GarbageCollector:
 
     # ------------------------------------------------------------------ drain
 
-    def _drain_name(self, name: str, budget: int | None) -> tuple[int, int, bool]:
-        """Evict collectable versions of ``name`` up to ``budget``.
+    def _drain_name(self, name: str, budget: int | None) -> tuple[list[int], bool]:
+        """Collectable versions of ``name``, oldest first, up to ``budget``.
 
-        Returns (versions, bytes, exhausted): ``exhausted`` is True when the
-        budget ran out with collectable versions still left (the caller
-        re-queues the name).
+        Returns (versions, exhausted): ``exhausted`` is True when the budget
+        ran out with collectable versions still left (the caller re-queues
+        the name). The pass evicts what every name gathered together, so
+        each server sees one eviction frame per pass.
         """
         versions = self.log.logged_versions(name)
         if len(versions) <= 1:
-            return 0, 0, False
+            return [], False
         pinned = self.replay_pinned()
         floor = self.version_floor(name)
-        collected = 0
-        freed = 0
+        out: list[int] = []
         # versions[-1] (the latest) is always kept; the slice excludes it.
         for v in versions[:-1]:
             if floor is not None and v >= floor:
                 break  # sorted: every later version is above the floor too
             if (name, v) in pinned:
                 continue
-            if budget is not None and collected >= budget:
-                return collected, freed, True
-            freed += self.log.evict(name, v)
-            collected += 1
-        return collected, freed, False
+            if budget is not None and len(out) >= budget:
+                return out, True
+            out.append(v)
+        return out, False
 
     def _trim_queues(self, components) -> int:
         trimmed = 0
@@ -276,13 +275,13 @@ class GarbageCollector:
         t0 = perf_counter()
         with _trace.span("gc.collect"):
             drained, pending_freed = self.log.drain_pending_evictions()
-            versions = 0
-            freed = pending_freed
+            keys = []
             for name in self.log.names():
-                n, b, _ = self._drain_name(name, None)
-                versions += n
-                freed += b
+                collected, _ = self._drain_name(name, None)
+                keys.extend((name, v) for v in collected)
                 self._candidate_set.discard(name)
+            versions = len(keys)
+            freed = pending_freed + self.log.evict_versions(keys)
             # Full sweep covers everything: the candidate queue is satisfied.
             self._candidates = deque(
                 n for n in self._candidates if n in self._candidate_set
@@ -313,31 +312,32 @@ class GarbageCollector:
         total logged state. Candidates the budget could not cover stay on
         the queue (and are counted in ``candidates_deferred``), so repeated
         bounded passes converge to exactly what :meth:`collect` would do.
+        ``max_seconds`` bounds the candidate walk; the versions it gathered
+        are then evicted together, one pipelined frame per server.
         """
         t0 = perf_counter()
         deadline = t0 + max_seconds if max_seconds is not None else None
         with _trace.span("gc.collect_incremental"):
             drained, pending_freed = self.log.drain_pending_evictions()
-            versions = 0
-            freed = pending_freed
-            deferred = 0
+            keys: list[tuple[str, int]] = []
             while self._candidates:
                 if deadline is not None and perf_counter() > deadline:
                     break
                 name = self._candidates.popleft()
-                budget = None if max_versions is None else max_versions - versions
+                budget = None if max_versions is None else max_versions - len(keys)
                 if budget is not None and budget <= 0:
                     self._candidates.appendleft(name)
                     break
-                n, b, exhausted = self._drain_name(name, budget)
-                versions += n
-                freed += b
+                collected, exhausted = self._drain_name(name, budget)
+                keys.extend((name, v) for v in collected)
                 if exhausted:
                     # Budget ran out mid-name: keep it queued (at the back,
                     # so other candidates are not starved).
                     self._candidates.append(name)
                     break
                 self._candidate_set.discard(name)
+            versions = len(keys)
+            freed = pending_freed + self.log.evict_versions(keys)
             deferred = len(self._candidates)
             trimmed = self._trim_queues(list(self._trim_candidates))
             self._trim_candidates.clear()

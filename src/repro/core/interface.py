@@ -139,6 +139,9 @@ class WorkflowStaging:
         # snapshot: ``full=True`` captures never enable journaling, so the
         # seed data path pays no per-mutation cost.
         self.checkpointer = StagingCheckpointer(group)
+        # Live puts committed so far. Waiters on the probe-free get path
+        # compare readings to tell a new arrival from a spurious wake-up.
+        self.arrivals = 0
 
     @property
     def client(self) -> StagingClient:
@@ -234,6 +237,7 @@ class WorkflowStaging:
         hash never runs under the metadata lock (it is ignored when logging
         is off — pass an empty string).
         """
+        self.arrivals += 1
         if self.enable_logging:
             queue = self._queue(component)
             queue.record_data(EventKind.PUT, desc, digest, step)
@@ -272,12 +276,11 @@ class WorkflowStaging:
         resurrect an evicted version.
         """
         for server in self.group.servers:
-            latest = server.store.latest_version(name)
-            if latest is not None:
-                try:
-                    server.evict_older_than_version(name, min(floor, latest))
-                except (ServerUnavailable, TransientServerError):
-                    continue
+            try:
+                # The server clamps the floor to its own newest version.
+                server.evict_older_than_version(name, floor)
+            except (ServerUnavailable, TransientServerError):
+                continue
         rec_versions = self.group.records.versions(name)
         if rec_versions:
             self.group.records.evict_older_than(name, min(floor, rec_versions[-1]))
@@ -352,7 +355,21 @@ class WorkflowStaging:
                 f"but the log expects {expected}"
             )
 
-    def plan_get(self, component: str, desc: ObjectDescriptor) -> GetPlan | None:
+    @property
+    def fetch_is_readiness(self) -> bool:
+        """True when a live get's fetch doubles as its readiness check.
+
+        Holds for logged, unprotected staging: a store serves a get exactly
+        when it covers the region, so the fetch's ``ObjectNotFound`` is the
+        "not ready" answer and :meth:`plan_get` sends no coverage probe.
+        Protected reads (degraded-capable coverage) and non-logged reads
+        (stale-latest fallback) keep the probe.
+        """
+        return self.enable_logging and self.group.protection is None
+
+    def plan_get(
+        self, component: str, desc: ObjectDescriptor, blind: bool = False
+    ) -> GetPlan | None:
         """Metadata phase: decide whether a get is servable right now.
 
         Mirrors the blocking-get readiness conditions of the threaded
@@ -360,10 +377,20 @@ class WorkflowStaging:
         the non-logged mode additionally allows the stale-latest fallback
         once a newer version exists. Returns None when the caller should
         keep waiting.
+
+        When :attr:`fetch_is_readiness` holds, no server is asked: a live
+        get is planned once the log holds a committed put of the version,
+        or when ``blind`` is set — the caller waited a poll timeout in vain
+        and tries anyway, so data staged outside this service (never
+        logged) is still served.
         """
         if self.enable_logging and self.in_replay(component):
             self._check_replay_get(component, desc)
             return GetPlan(version=desc.version, replayed=True)
+        if self.fetch_is_readiness:
+            if blind or (desc.name, desc.version) in self.log.records:
+                return GetPlan(version=desc.version, replayed=False)
+            return None
         if self._client.covers(desc):
             return GetPlan(version=desc.version, replayed=False)
         if not self.enable_logging:

@@ -33,7 +33,7 @@ import numpy as np
 from repro.errors import ServerUnavailable, TransientServerError
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.obs import registry as _obs
-from repro.staging.server import StagingServer
+from repro.staging.server import StagingServer, run_pipeline
 from repro.util.rng import RngRegistry
 
 __all__ = ["FaultyServer", "inject_faults"]
@@ -222,6 +222,13 @@ class FaultyServer:
 
     def keep_only_latest(self, *a, **kw):
         return self._faulted_call("keep_only_latest", *a, **kw)
+
+    def pipeline(self, requests: list[tuple[str, tuple]], *, outcomes: bool = False) -> list:
+        """Batched ops, faulted one request at a time: each data-path op
+        advances the op counter and feels active faults exactly as its own
+        call would (the wire server's batch loop does the same on the far
+        side); control-plane ops pass through."""
+        return run_pipeline(self, requests, outcomes)
 
     # ---------------------------------------------------------- control plane
 

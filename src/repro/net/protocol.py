@@ -27,8 +27,8 @@ reply shapes are the plain ``("ok", ...)`` / ``("batch_ok", ...)`` tuples.
 
 where each inner response is itself an ``("ok", ...)`` or ``("err", ...)``
 tuple — one slow/faulty op in a batch doesn't poison its neighbours; the
-client unpacks per-op results and raises per-op errors exactly as if each
-had been its own round trip.
+client unpacks per-op results and either raises the first error or hands
+back every slot's value or typed error (``pipeline(..., outcomes=True)``).
 
 Staging-level errors are distinct from *wire-level* failures: the latter
 (connect refused, reset, timeout, short read) never appear as ``("err", ...)``
@@ -67,6 +67,7 @@ __all__ = [
     "error_kind_for",
     "peek_request_kind",
     "raise_wire_error",
+    "wire_error",
 ]
 
 _BUSY_SEEN = _obs.counter("net.mux.server_busy")
@@ -153,16 +154,21 @@ def batch_item_result(value=None, exc: BaseException | None = None, server_id: i
     return ("ok", value)
 
 
-def raise_wire_error(kind: str, server_id: int, message: str):
-    """Re-raise a wire error tuple as its original exception type."""
+def wire_error(kind: str, server_id: int, message: str) -> StagingError:
+    """Rebuild a wire error tuple's original exception (not raised)."""
     cls = WIRE_ERRORS.get(kind, StagingError)
     if cls is ServerBusy:
         _BUSY_SEEN.inc()
     elif cls is DeadlineExceeded:
         _DEADLINE_SEEN.inc()
     if issubclass(cls, _SERVER_SCOPED):
-        raise cls(server_id, message)
-    raise cls(message)
+        return cls(server_id, message)
+    return cls(message)
+
+
+def raise_wire_error(kind: str, server_id: int, message: str):
+    """Re-raise a wire error tuple as its original exception type."""
+    raise wire_error(kind, server_id, message)
 
 
 # Byte-level peek constants (mirror repro.net.codec's tag bytes): a request

@@ -787,7 +787,7 @@ class _ShmEndpoint(_Endpoint):
                 if slab is not None:
                     (pool.release if clean else pool.retire)(slab)
 
-    def request_batch(self, requests):
+    def request_batch(self, requests, outcomes: bool = False):
         pool = self.pool
         # Segments only when every op in the batch consumes its payload
         # before replying (see SHM_REQUEST_OPS); mixed batches with ops
@@ -802,7 +802,7 @@ class _ShmEndpoint(_Endpoint):
                 if req_slab is not None:
                     sink = _SegmentWriter(req_slab)
         if sink is None:
-            return super().request_batch(requests)
+            return super().request_batch(requests, outcomes)
         clean = False
         try:
             parts = encode_batch_iov(
@@ -811,7 +811,7 @@ class _ShmEndpoint(_Endpoint):
             _OOB_BYTES.inc(sink.placed_bytes)
             msg = self._round_trip(parts)
             clean = True
-            return self._unpack_batch(msg)
+            return self._unpack_batch(msg, outcomes)
         finally:
             (pool.release if clean else pool.retire)(req_slab)
 

@@ -74,10 +74,12 @@ from repro.net.protocol import (
     encode_request,
     encode_request_iov,
     raise_wire_error,
+    wire_error,
 )
 from repro.net.tcpserver import SERVER_OPS, run_server, server_config
 from repro.net.transport import Transport
 from repro.obs import registry as _obs
+from repro.staging.server import settle_pipeline
 
 __all__ = ["TcpTransport", "RemoteServer", "RemoteFaultHandle", "shutdown_all"]
 
@@ -343,37 +345,31 @@ class _Endpoint:
     def request(self, op: str, args: tuple):
         return self._unpack_response(self._round_trip(encode_request_iov(op, args)))
 
-    def request_batch(self, requests: list[tuple[str, tuple]]) -> list:
-        """Pipeline N ops in one frame; returns per-op values in order.
+    def request_batch(self, requests: list[tuple[str, tuple]], outcomes: bool = False) -> list:
+        """Pipeline N ops in one frame; returns per-op slots in order.
 
-        The first failed op's error is raised (after the whole batch ran
-        server-side — batches are not transactions, matching the semantics
-        of issuing the ops back-to-back on one connection).
+        Every op runs server-side even if an earlier one failed (batches
+        are pipelines, not transactions). ``outcomes`` selects the slot
+        shape, as in :func:`~repro.staging.server.settle_pipeline`: each
+        slot's value or typed error, or values with the first error raised.
+        A failure of the whole frame (wire error, shed batch) always raises.
         """
         _BATCH_SIZE.record(len(requests))
         parts = encode_batch_iov([("req", op, args) for op, args in requests])
-        return self._unpack_batch(self._round_trip(parts))
+        return self._unpack_batch(self._round_trip(parts), outcomes)
 
-    def _unpack_batch(self, msg: tuple) -> list:
+    def _unpack_batch(self, msg: tuple, outcomes: bool) -> list:
         if msg[0] != "batch_ok":
             if msg[0] == "err":
                 raise_wire_error(msg[1], msg[2], msg[3])
             raise _map_wire_error(
                 WireClosed(f"unexpected reply tag {msg[0]!r}"), self.server_id
             )
-        values = []
-        error = None
-        for item in msg[1]:
-            if item[0] == "ok":
-                values.append(item[1])
-            elif error is None:
-                values.append(None)
-                error = item
-            else:
-                values.append(None)
-        if error is not None:
-            raise_wire_error(error[1], error[2], error[3])
-        return values
+        slots = [
+            item[1] if item[0] == "ok" else wire_error(item[1], item[2], item[3])
+            for item in msg[1]
+        ]
+        return settle_pipeline(slots, outcomes)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -495,9 +491,9 @@ class RemoteServer:
     def ping(self) -> bool:
         return self._endpoint.request("admin:ping", ()) == "pong"
 
-    def pipeline(self, requests: list[tuple[str, tuple]]) -> list:
+    def pipeline(self, requests: list[tuple[str, tuple]], *, outcomes: bool = False) -> list:
         """Run N ops in one round trip (see ``_Endpoint.request_batch``)."""
-        return self._endpoint.request_batch(requests)
+        return self._endpoint.request_batch(requests, outcomes)
 
     @property
     def nbytes(self) -> int:

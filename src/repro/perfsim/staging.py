@@ -31,6 +31,7 @@ from repro.perfsim.engine import Engine, all_of
 from repro.perfsim.resources import FifoResource
 from repro.staging.hashing import PlacementMap
 from repro.staging.resilience import ProtectionIndex
+from repro.staging.server import run_pipeline
 from repro.util.timeline import Counter, Timeline
 
 __all__ = ["AccountingServer", "AccountingGroup", "StagingModel"]
@@ -46,7 +47,7 @@ class AccountingServer:
 
     Provides the slice of the server interface the shared logging components
     (:class:`~repro.core.data_log.DataLog`) require: ``evict`` returning the
-    bytes freed.
+    bytes freed, batched through ``pipeline``.
     """
 
     def __init__(self, server_id: int) -> None:
@@ -58,6 +59,9 @@ class AccountingServer:
 
     def evict(self, name: str, version: int) -> int:
         return self._sizes.pop((name, version), 0)
+
+    def pipeline(self, requests: list[tuple[str, tuple]], *, outcomes: bool = False) -> list:
+        return run_pipeline(self, requests, outcomes)
 
     def versions(self, name: str) -> list[int]:
         return sorted({v for (n, v) in self._sizes if n == name})

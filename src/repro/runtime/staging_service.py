@@ -39,7 +39,12 @@ from repro.core.events import WChkId, payload_digest
 from repro.core.garbage import BackgroundCollector, GCReport
 from repro.core.interface import GetPlan, GetResult, PutResult, WorkflowStaging
 from repro.descriptors.odsc import ObjectDescriptor
-from repro.errors import ObjectNotFound, StagingError
+from repro.errors import (
+    ObjectNotFound,
+    ServerUnavailable,
+    StagingError,
+    TransientServerError,
+)
 from repro.obs import registry as _obs
 from repro.staging.client import StagingGroup
 from repro.staging.cow import compose_chain, is_cow_snapshot
@@ -430,12 +435,24 @@ class SynchronizedStaging:
         lock; if a concurrent eviction or rollback removes the planned
         version mid-fetch, the fetch raises and the wait loop simply resumes
         (the interrupt predicate or deadline bounds the retry).
+
+        On the probe-free path (:attr:`WorkflowStaging.fetch_is_readiness`)
+        the fetch is the readiness check, so the metadata lock never waits
+        on a server: a get is fetched once the log holds a committed put of
+        the version, and a miss (``ObjectNotFound``, or a down or failing
+        server) waits for the next put to commit. A poll timeout without
+        one allows a fetch anyway, so data staged outside this service is
+        served within about one ``poll_timeout``.
         """
         t_req = time.monotonic()
         t_start = time.monotonic()
         _LOCK_WAIT.record(0.0 if not self.parallel else t_start - t_req)
         deadline = t_start + self.max_wait
         waited = False
+        # Probe-free path: when the last fetch was tried (or the get began),
+        # and the arrival count its miss saw (None: no miss yet).
+        last_try = t_start
+        missed_at: int | None = None
         while True:
             plan: GetPlan | None = None
             with self._meta:
@@ -450,11 +467,13 @@ class SynchronizedStaging:
                     if interrupt is not None and interrupt():
                         _WAITS_INTERRUPTED.inc()
                         raise WaitInterrupted(f"wait for {desc} interrupted")
-                    if time.monotonic() > deadline:
+                    now = time.monotonic()
+                    if now > deadline:
                         _WAITS_INTERRUPTED.inc()
                         raise WaitInterrupted(
                             f"{component!r} waited over {self.max_wait}s for {desc}"
                         )
+                    quiet_for = now - last_try
                     if not self.parallel:
                         result = self._serve_get_serial(component, desc, step)
                         if result is not None:
@@ -464,24 +483,42 @@ class SynchronizedStaging:
                                 )
                             self._record_read(component, desc, result)
                             return result
-                    else:
-                        plan = self.staging.plan_get(component, desc)
+                    elif (
+                        missed_at is None
+                        or missed_at != self.staging.arrivals
+                        or quiet_for >= self.poll_timeout
+                    ):
+                        plan = self.staging.plan_get(
+                            component, desc, blind=quiet_for >= self.poll_timeout
+                        )
                         if plan is not None:
+                            arrivals = self.staging.arrivals
                             self._begin_data_phase()
                             break
                     if not waited:
                         waited = True
                         _BLOCKING_WAITS.inc()
-                    self._data_arrived.wait(timeout=self.poll_timeout)
+                    # Wake by the time a blind fetch is due at the latest.
+                    timeout = self.poll_timeout - quiet_for
+                    self._data_arrived.wait(
+                        timeout=timeout if timeout > 0 else self.poll_timeout
+                    )
             # ---- data phase: assemble payload under per-server locks -----
+            probe_free = not plan.replayed and self.staging.fetch_is_readiness
             try:
                 data = self.staging.fetch_get(desc, plan.version)
                 digest = payload_digest(data)
-            except ObjectNotFound:
-                # Planned version vanished mid-fetch (eviction/rollback race);
-                # go back to waiting.
+            except (ObjectNotFound, ServerUnavailable, TransientServerError) as exc:
                 self._abort_data_phase()
+                if not (probe_free or isinstance(exc, ObjectNotFound)):
+                    raise
+                # Not ready yet, or the planned version vanished mid-fetch
+                # (eviction/rollback race): go back to waiting — for the
+                # next arrival on the probe-free path.
                 _DATA_PHASE_RETRIES.inc()
+                if probe_free:
+                    last_try = time.monotonic()
+                    missed_at = arrivals
                 continue
             except BaseException:
                 self._abort_data_phase()

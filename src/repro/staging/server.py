@@ -19,12 +19,12 @@ from time import perf_counter
 import numpy as np
 
 from repro.descriptors.odsc import ObjectDescriptor
-from repro.errors import ObjectNotFound
+from repro.errors import ObjectNotFound, ReproError
 from repro.obs import registry as _obs
 from repro.staging.index import SpatialIndex
 from repro.staging.store import ObjectStore, StoredObject
 
-__all__ = ["StagingServer"]
+__all__ = ["StagingServer", "run_pipeline", "settle_pipeline"]
 
 # Instrument-site handles, resolved once at import (see repro.obs.metrics).
 _PUT_COUNT = _obs.counter("staging.server.put.count")
@@ -259,11 +259,20 @@ class StagingServer:
         return freed
 
     def evict_older_than_version(self, name: str, version: int) -> int:
-        """Drop versions of ``name`` strictly below ``version``; returns bytes."""
+        """Drop versions of ``name`` strictly below ``version``; returns bytes.
+
+        The server's newest version of ``name`` is always kept, whatever
+        ``version`` says: the floor is clamped to it, so a caller never
+        needs a separate latest-version query first.
+        """
         with self.lock:
+            versions = self.store.versions(name)
+            if not versions:
+                return 0
+            floor = min(version, versions[-1])
             freed = 0
-            for v in list(self.store.versions(name)):
-                if v < version:
+            for v in list(versions):
+                if v < floor:
                     freed += self.evict(name, v)
             return freed
 
@@ -283,6 +292,11 @@ class StagingServer:
                 if v != latest:
                     freed += self.evict(name, v)
             return freed
+
+    def pipeline(self, requests: list[tuple[str, tuple]], *, outcomes: bool = False) -> list:
+        """Run ``(op, args)`` requests in order; the in-process form of the
+        wire transports' one-frame batch (see :func:`run_pipeline`)."""
+        return run_pipeline(self, requests, outcomes)
 
     # ------------------------------------------------------------ snapshot
 
@@ -357,3 +371,34 @@ class StagingServer:
             "fragments": self.store.object_count,
             "names": self.index.names(),
         }
+
+
+def run_pipeline(target, requests: list[tuple[str, tuple]], outcomes: bool) -> list:
+    """Run every ``(op, args)`` request as ``target.op(*args)``, in order.
+
+    A batch is a pipeline, not a transaction: a failing op does not stop
+    the ops after it. Returns one slot per request (see
+    :func:`settle_pipeline` for what ``outcomes`` selects).
+    """
+    slots = []
+    for op, args in requests:
+        try:
+            slots.append(getattr(target, op)(*args))
+        except ReproError as exc:
+            slots.append(exc)
+    return settle_pipeline(slots, outcomes)
+
+
+def settle_pipeline(slots: list, outcomes: bool) -> list:
+    """Per-slot outcomes, or plain values with the first error raised.
+
+    ``outcomes=True`` returns the slots as they are: each holds its op's
+    value or the typed error it raised. Otherwise the first error is raised
+    (every op has already run) and failed slots never reach the caller.
+    """
+    if outcomes:
+        return slots
+    for slot in slots:
+        if isinstance(slot, ReproError):
+            raise slot
+    return slots

@@ -25,6 +25,7 @@ class TestWorkflowShape:
             "tests",
             "kernels",
             "transport",
+            "perfbench",
             "bench-guard",
             "nightly-soak",
         }
@@ -91,6 +92,13 @@ class TestWorkflowShape:
         assert "--steps 120" in runs
         assert "--steps 48" in runs
         assert "/dev/shm/repro-shm-" in runs
+
+    def test_perfbench_job_runs_its_tests_and_a_checked_smoke_run(self, workflow):
+        runs = " ".join(s.get("run", "") for s in workflow["jobs"]["perfbench"]["steps"])
+        assert "python -m pytest perfbench/tests" in runs
+        assert "perfbench/run.py --workload coupled-tcp" in runs
+        assert "--trace 1" in runs
+        assert '"correct"' in runs and '"failed"' in runs
 
     def test_kernel_job_covers_corec_and_fault_matrix(self, workflow):
         runs = " ".join(s.get("run", "") for s in workflow["jobs"]["kernels"]["steps"])
